@@ -318,27 +318,6 @@ def hom_eval_join(target: VModule, point_tables, tup: tuple) -> int:
     return target.join(point_tables[k][tup[k]] for k in range(len(tup)))
 
 
-def counit_psi(hf: HomFrame, tm_prime: TensorModule) -> ModuleHom:
-    """For a materialized tensor over the hom frame: factorization of the
-    pointwise-evaluation join, verified everywhere."""
-    L = hf.target
-    plat = tm_prime.power.carrier
-    tables = [h.values for h in hf.homs]
-
-    def f_value(enc: int) -> int:
-        return hom_eval_join(L, tables, plat.decode(enc))
-
-    values = tuple(f_value(p) for p in tm_prime.fixed)
-    hom = ModuleHom(tm_prime.quotient, L, values)
-    proj = tm_prime.projection.values
-    for y in range(tm_prime.power.n):
-        if values[proj[y]] != f_value(y):
-            raise AssertionError(
-                f"counit factorization breaks at power element {y}")
-    assert is_module_hom(hom, tm_prime.quotient, L)
-    return hom
-
-
 def unit_nu(frame: VFrame, powerL: VModule, hf3: HomFrame) -> FrameHom:
     """Each frame point maps to evaluation at that point; the evaluation
     table must occur among the enumerated homs."""

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NonCommutativeBase, QuantaleMismatch
+from .errors import (FNotModuleHom, GDoesNotRespectX, NonCommutativeBase,
+                     NotANucleus, QuantaleMismatch)
 from .frames import FrameHom, VFrame, is_frame_hom, validate_frame
 from .fsemilattice import FSemilattice
 from .nucleus import EndoOperator, closure_of, prenucleus_from_pairs, quotient
@@ -35,10 +36,6 @@ def delta_element(power: VModule, x: int, i: int) -> int:
     """Encoded form of delta_tuple in a materialized power module."""
     lat = power.carrier
     return lat.encode(delta_tuple(lat._arity, power.base.carrier.bottom, x, i))
-
-
-def smear_element(power: VModule, frame: VFrame, x: int, i: int) -> int:
-    return power.carrier.encode(smear_tuple(power.base, frame, x, i))
 
 
 # tensor --------------------------------------------------------------------
@@ -99,8 +96,9 @@ def tensor(frame: VFrame, fsl: FSemilattice, cap: int | None = None,
     op, sat = prenucleus_from_pairs(host, pairs)
     nuc = closure_of(op)
     for c, d in pairs:
-        assert nuc.values[c] == nuc.values[d], \
-            "nucleus fails to collapse a generating pair"
+        if nuc.values[c] != nuc.values[d]:
+            raise NotANucleus("nucleus fails to collapse a generating pair",
+                              witness=(c, d))
     result = quotient(host, nuc)
     qmod = VModule(q, result.fsl.module.carrier, result.fsl.module.action_rows(),
                    name=name)
@@ -126,7 +124,8 @@ def forward_map(f: FrameHom, module: VModule,
                     for k in range(f.target.n))
         values.append(tlat.encode(out))
     hom = ModuleHom(source_power, target_power, tuple(values))
-    assert is_module_hom(hom, source_power, target_power)
+    if not is_module_hom(hom, source_power, target_power):
+        raise FNotModuleHom("forward map is not a module hom", witness=f.mapping)
     return hom
 
 
@@ -151,9 +150,10 @@ def tensor_frame_hom(t: FrameHom, fsl: FSemilattice,
     proj1 = source_t.projection.values
     for x in range(source_t.power.n):
         if result.values[proj1[x]] != proj2[fwd.values[x]]:
-            raise AssertionError(
-                f"tensor action square breaks at power element {x}")
-    assert is_module_hom(result, source_t.quotient, target_t.quotient)
+            raise GDoesNotRespectX(
+                f"tensor action square breaks at power element {x}", witness=x)
+    if not is_module_hom(result, source_t.quotient, target_t.quotient):
+        raise FNotModuleHom("tensor action is not a module hom", witness=t.mapping)
     return result
 
 
@@ -173,9 +173,11 @@ def tensor_lax_hom(frame: VFrame, f: ModuleHom,
     proj1 = source_t.projection.values
     for x in range(source_t.power.n):
         if result.values[proj1[x]] != proj2[n2[lift(x)]]:
-            raise AssertionError(
-                f"tensor lax-action square breaks at power element {x}")
-    assert is_module_hom(result, source_t.quotient, target_t.quotient)
+            raise GDoesNotRespectX(
+                f"tensor lax-action square breaks at power element {x}", witness=x)
+    if not is_module_hom(result, source_t.quotient, target_t.quotient):
+        raise FNotModuleHom("tensor lax action is not a module hom",
+                            witness=f.values)
     return result
 
 
@@ -241,7 +243,9 @@ def hom_frame_covariant(source_hf: HomFrame, g: ModuleHom,
         composite = tuple(g.values[alpha.values[x]] for x in range(source_hf.fsl.n))
         mapping.append(target_hf.index_of(composite))
     result = FrameHom(source_hf.frame, target_hf.frame, tuple(mapping))
-    assert is_frame_hom(result, source_hf.frame, target_hf.frame)
+    if not is_frame_hom(result, source_hf.frame, target_hf.frame):
+        raise FNotModuleHom("post-composition is not a frame morphism",
+                            witness=result.mapping)
     return result
 
 
@@ -257,5 +261,7 @@ def hom_frame_contravariant(f: ModuleHom, source_hf: HomFrame,
         composite = tuple(alpha.values[f.values[y]] for y in range(target_hf.fsl.n))
         mapping.append(target_hf.index_of(composite))
     result = FrameHom(source_hf.frame, target_hf.frame, tuple(mapping))
-    assert is_frame_hom(result, source_hf.frame, target_hf.frame)
+    if not is_frame_hom(result, source_hf.frame, target_hf.frame):
+        raise FNotModuleHom("pre-composition is not a frame morphism; "
+                            "map not lax?", witness=result.mapping)
     return result

@@ -7,6 +7,15 @@ which keeps validation and join searches cheap at desk scale.
 A lattice is either backed by explicit tables (validated user input,
 quotients) or by a finite power of a base lattice, in which case order and
 joins are computed coordinatewise and never materialized as n-by-n tables.
+A power keeps the coordinate tuple of every element in one list, built once
+by ``itertools.product`` in index order, so decoding an index is a list
+lookup.
+
+Binary laws ("for all a, b") are checked against the join-irreducibles
+J(L) in the second argument: every element is the join of the
+join-irreducibles below it, so a law that is stable under joining in one
+more irreducible holds for all pairs once it holds for all (a, x) with x in
+J(L) and the bottom case is settled.  See :func:`join_violation`.
 """
 
 from __future__ import annotations
@@ -27,9 +36,10 @@ class FinLattice:
     """
 
     __slots__ = ("labels", "n", "bottom", "top", "_up", "_down",
-                 "_base", "_arity", "_join_memo", "_ji")
+                 "_base", "_arity", "_tuples", "_join_memo", "_ji")
 
-    def __init__(self, labels, up, down, bottom, top, base=None, arity=0):
+    def __init__(self, labels, up, down, bottom, top, base=None, arity=0,
+                 tuples=None):
         self.labels = tuple(labels)
         self.n = len(self.labels)
         self._up = up
@@ -38,6 +48,7 @@ class FinLattice:
         self.top = top
         self._base = base
         self._arity = arity
+        self._tuples = tuples
         self._join_memo = {}
         self._ji = None
 
@@ -54,11 +65,12 @@ class FinLattice:
             raise SizeLimitExceeded(
                 f"power lattice would have {size} elements, cap is {limit}",
                 witness=(base.n, arity))
-        labels = ["(" + ",".join(base.labels[c] for c in t) + ")"
-                  for t in iter_product(range(base.n), repeat=arity)]
+        tuples = list(iter_product(range(base.n), repeat=arity))
+        labels = ["(" + ",".join(base.labels[c] for c in t) + ")" for t in tuples]
         bot = _encode((base.bottom,) * arity, base.n)
         top = _encode((base.top,) * arity, base.n)
-        return cls(labels, None, None, bot, top, base=base, arity=arity)
+        return cls(labels, None, None, bot, top, base=base, arity=arity,
+                   tuples=tuples)
 
     @property
     def is_power(self) -> bool:
@@ -73,8 +85,8 @@ class FinLattice:
         return self._arity
 
     def decode(self, i: int) -> tuple[int, ...]:
-        """Index of a power element to its coordinate tuple."""
-        return _decode(i, self._base.n, self._arity)
+        """Index of a power element to its coordinate tuple (cached)."""
+        return self._tuples[i]
 
     def encode(self, t: Sequence[int]) -> int:
         return _encode(t, self._base.n)
@@ -84,9 +96,9 @@ class FinLattice:
     def leq(self, a: int, b: int) -> bool:
         if self._base is None:
             return bool((self._up[a] >> b) & 1)
-        ta, tb = self.decode(a), self.decode(b)
         base = self._base
-        return all(base.leq(x, y) for x, y in zip(ta, tb))
+        return all(base.leq(x, y)
+                   for x, y in zip(self._tuples[a], self._tuples[b]))
 
     def join2(self, a: int, b: int) -> int:
         if a == b:
@@ -104,7 +116,7 @@ class FinLattice:
         else:
             base = self._base
             r = self.encode(tuple(base.join2(x, y)
-                                  for x, y in zip(self.decode(a), self.decode(b))))
+                                  for x, y in zip(self._tuples[a], self._tuples[b])))
         memo[key] = r
         return r
 
@@ -196,13 +208,6 @@ def _encode(t: Sequence[int], radix: int) -> int:
     for c in t:
         out = out * radix + c
     return out
-
-
-def _decode(i: int, radix: int, arity: int) -> tuple[int, ...]:
-    out = [0] * arity
-    for k in range(arity - 1, -1, -1):
-        i, out[k] = divmod(i, radix)
-    return tuple(out)
 
 
 def validate_lattice(labels: Sequence[str], leq: Sequence[Sequence[int]],
@@ -335,6 +340,30 @@ def _monotone_assignments(src: FinLattice, dst: FinLattice, budget: int | None):
     yield from rec(0)
 
 
+def join_violation(src: FinLattice, dst: FinLattice, f) -> tuple[int, int] | None:
+    """The first ``(a, x)`` with ``x`` join-irreducible and
+    ``f(a v x) != f(a) v f(x)``, or None.  ``f`` is a value vector.
+
+    Exact for maps with ``f(bottom) = bottom``, which the caller checks
+    first: writing b as x1 v ... v xk over the irreducibles below it,
+    f(a v b) and f(a) v f(b) both unfold to f(a) v f(x1) v ... v f(xk).
+    The law is symmetric and holds at (bottom, x) and (x, x), so a pair of
+    irreducibles is checked once, with the larger index first.
+    """
+    join_s, join_d = src.join2, dst.join2
+    ji = src.join_irreducibles()      # ascending
+    for a in range(src.n):
+        if a == src.bottom:
+            continue
+        fa = f[a]
+        for x in ji:
+            if x == a:
+                break
+            if f[join_s(a, x)] != join_d(fa, f[x]):
+                return (a, x)
+    return None
+
+
 def _extend_assignment(src: FinLattice, dst: FinLattice,
                        g: dict[int, int]) -> tuple[int, ...] | None:
     ji = src.join_irreducibles()
@@ -345,14 +374,9 @@ def _extend_assignment(src: FinLattice, dst: FinLattice,
             return None
         return tuple(dst.join(g[j] for j in ji if src.leq(j, x))
                      for x in range(src.n))
-    f = [dst.bottom] * src.n
-    for x in range(src.n):
-        f[x] = dst.join(g[j] for j in ji if src.leq(j, x))
-    for a in range(src.n):
-        for b in range(a + 1, src.n):
-            if f[src.join2(a, b)] != dst.join2(f[a], f[b]):
-                return None
-    return tuple(f)
+    # f(bottom) is the empty join, as join_violation requires
+    f = tuple(dst.join(g[j] for j in ji if src.leq(j, x)) for x in range(src.n))
+    return None if join_violation(src, dst, f) is not None else f
 
 
 def _power_sections_ok(src: FinLattice, dst: FinLattice, g: dict[int, int]) -> bool:
@@ -361,15 +385,12 @@ def _power_sections_ok(src: FinLattice, dst: FinLattice, g: dict[int, int]) -> b
     base = src.base
     bji = base.join_irreducibles()
     for k in range(src.arity):
-        # h(u) = f of the tuple with u at coordinate k, bottom elsewhere
-        h = []
-        for u in range(base.n):
-            h.append(dst.join(g[_delta_index(src, j0, k)] for j0 in bji
-                              if base.leq(j0, u)))
-        for a in range(base.n):
-            for b in range(a + 1, base.n):
-                if h[base.join2(a, b)] != dst.join2(h[a], h[b]):
-                    return False
+        # h(u) = f of the tuple with u at coordinate k, bottom elsewhere;
+        # h(bottom) is the empty join, as join_violation requires
+        h = [dst.join(g[_delta_index(src, j0, k)] for j0 in bji if base.leq(j0, u))
+             for u in range(base.n)]
+        if join_violation(base, dst, h) is not None:
+            return False
     return True
 
 
