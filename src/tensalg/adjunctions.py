@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceeded, SizeLimitExceeded
+from .errors import (BudgetExceeded, FNotModuleHom, GDoesNotRespectX,
+                     NotAPrenucleus, SizeLimitExceeded)
 from .frames import FrameHom, VFrame, is_frame_hom
 from .fsemilattice import FSemilattice, construct_FJ, is_lax_morphism
 from .functors import (HomFrame, TensorModule, delta_element, delta_tuple,
@@ -133,7 +134,7 @@ class TuplePairNucleus:
             if nxt == cur:
                 return cur
             cur = nxt
-        raise AssertionError("lazy nucleus failed to stabilize")
+        raise NotAPrenucleus("lazy nucleus failed to stabilize", witness=t)
 
     def constant_on_pairs(self, fn) -> tuple | None:
         """First saturated pair a function distinguishes, or None."""
@@ -212,7 +213,8 @@ def unit_eta(tm: TensorModule, cap: int | None = None
     plat = target_fsl.module.carrier
     values = tuple(plat.encode(row) for row in eta_table(tm))
     hom = ModuleHom(tm.fsl.module, target_fsl.module, values)
-    assert is_lax_morphism(hom, tm.fsl, target_fsl), "eta is not lax"
+    if not is_lax_morphism(hom, tm.fsl, target_fsl):
+        raise FNotModuleHom("eta is not lax", witness=values)
     return hom, target_fsl
 
 
@@ -268,9 +270,10 @@ def counit_eps(tm2: TensorModule) -> ModuleHom:
     proj = tm2.projection.values
     for y in range(tm2.power.n):
         if values[proj[y]] != e_value(y):
-            raise AssertionError(
-                f"counit factorization breaks at power element {y}")
-    assert is_module_hom(hom, tm2.quotient, L)
+            raise GDoesNotRespectX(
+                f"counit factorization breaks at power element {y}", witness=y)
+    if not is_module_hom(hom, tm2.quotient, L):
+        raise FNotModuleHom("counit is not a module hom", witness=values)
     return hom
 
 
@@ -309,7 +312,8 @@ def unit_phi(tm: TensorModule, budget: int | None = None
     hf = hom_frame(tm.fsl, tm.quotient, budget=budget)
     mapping = tuple(hf.index_of(vals) for vals in phi_tables(tm))
     result = FrameHom(tm.frame, hf.frame, mapping)
-    assert is_frame_hom(result, tm.frame, hf.frame), "phi is not a frame hom"
+    if not is_frame_hom(result, tm.frame, hf.frame):
+        raise FNotModuleHom("phi is not a frame hom", witness=mapping)
     return result, hf
 
 
@@ -327,7 +331,8 @@ def unit_nu(frame: VFrame, powerL: VModule, hf3: HomFrame) -> FrameHom:
         vals = tuple(plat.decode(x)[i] for x in range(powerL.n))
         mapping.append(hf3.index_of(vals))
     result = FrameHom(frame, hf3.frame, tuple(mapping))
-    assert is_frame_hom(result, frame, hf3.frame), "nu is not a frame hom"
+    if not is_frame_hom(result, frame, hf3.frame):
+        raise FNotModuleHom("nu is not a frame hom", witness=result.mapping)
     return result
 
 
@@ -373,7 +378,8 @@ def unit_mu(hf: HomFrame, cap: int | None = None
     plat = target_fsl.module.carrier
     values = tuple(plat.encode(row) for row in mu_table(hf))
     hom = ModuleHom(hf.fsl.module, target_fsl.module, values)
-    assert is_lax_morphism(hom, hf.fsl, target_fsl), "mu is not lax"
+    if not is_lax_morphism(hom, hf.fsl, target_fsl):
+        raise FNotModuleHom("mu is not lax", witness=values)
     return hom, target_fsl
 
 

@@ -16,7 +16,7 @@ from .adjunctions import (CheckReport, check_naturality_eps,
                           check_naturality_eta, check_naturality_mu,
                           check_naturality_nu, check_naturality_phi,
                           check_naturality_psi, run_all_triangles)
-from .errors import SizeLimitExceeded
+from .errors import FNotModuleHom, SizeLimitExceeded
 from .frames import FrameHom, VFrame, is_frame_hom, validate_frame
 from .fsemilattice import FSemilattice, is_lax_morphism, validate_fsemilattice
 from .functors import hom_frame, tensor
@@ -228,7 +228,8 @@ def collapsing_frame_hom(rng: random.Random, frame: VFrame
     target = validate_frame(q, [f"q{k}" for k in range(m)], r2,
                             name=f"{frame.name}/c{m}")
     hom = FrameHom(frame, target, mapping)
-    assert is_frame_hom(hom, frame, target)
+    if not is_frame_hom(hom, frame, target):
+        raise FNotModuleHom("collapsing map is not a frame hom", witness=mapping)
     return hom, target
 
 

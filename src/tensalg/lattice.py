@@ -287,8 +287,10 @@ def enumerate_join_preserving_maps(src: FinLattice, dst: FinLattice,
 
     Strategy: enumerate monotone assignments on the join irreducibles of the
     source, extend by f(x) = join of images of irreducibles below x, and keep
-    the extensions that preserve binary joins.  Results are value vectors in
-    lexicographic order.
+    the extensions that preserve binary joins, as decided by
+    :func:`join_violation`.  Power carriers take the same path: their
+    join-irreducibles and joins are computed coordinatewise.  Results are
+    value vectors in lexicographic order.
     """
     assignments = _monotone_assignments(src, dst, budget)
     out = []
@@ -367,35 +369,6 @@ def join_violation(src: FinLattice, dst: FinLattice, f) -> tuple[int, int] | Non
 def _extend_assignment(src: FinLattice, dst: FinLattice,
                        g: dict[int, int]) -> tuple[int, ...] | None:
     ji = src.join_irreducibles()
-    if src.is_power:
-        # sections through one coordinate decide join preservation on a power,
-        # so the quadratic pair check can be skipped
-        if not _power_sections_ok(src, dst, g):
-            return None
-        return tuple(dst.join(g[j] for j in ji if src.leq(j, x))
-                     for x in range(src.n))
     # f(bottom) is the empty join, as join_violation requires
     f = tuple(dst.join(g[j] for j in ji if src.leq(j, x)) for x in range(src.n))
     return None if join_violation(src, dst, f) is not None else f
-
-
-def _power_sections_ok(src: FinLattice, dst: FinLattice, g: dict[int, int]) -> bool:
-    """Join preservation on a power holds iff every one-coordinate section
-    preserves binary joins in the base."""
-    base = src.base
-    bji = base.join_irreducibles()
-    for k in range(src.arity):
-        # h(u) = f of the tuple with u at coordinate k, bottom elsewhere;
-        # h(bottom) is the empty join, as join_violation requires
-        h = [dst.join(g[_delta_index(src, j0, k)] for j0 in bji if base.leq(j0, u))
-             for u in range(base.n)]
-        if join_violation(base, dst, h) is not None:
-            return False
-    return True
-
-
-def _delta_index(power: FinLattice, x: int, k: int) -> int:
-    base = power.base
-    t = [base.bottom] * power.arity
-    t[k] = x
-    return power.encode(t)

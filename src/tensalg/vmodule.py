@@ -12,12 +12,14 @@ to send bottom to bottom, and linear rather than quadratic in the source.
 
 from __future__ import annotations
 
+from itertools import product as iter_product
 from typing import Sequence
 
 from .errors import (ActionNotAssociative, ActionNotJoinPreserving,
-                     SourceTargetQuantaleMismatch, UnitActionFails)
-from .lattice import (FinLattice, enumerate_join_preserving_maps, join_violation,
-                      _monotone_assignments)
+                     BudgetExceeded, SourceTargetQuantaleMismatch,
+                     UnitActionFails)
+from .lattice import FinLattice, enumerate_join_preserving_maps, join_violation
+from .limits import DEFAULT_ENUM_BUDGET
 from .quantale import Quantale
 
 
@@ -224,26 +226,58 @@ def enumerate_module_homs(source: VModule, target: VModule,
                           budget: int | None = None) -> list[ModuleHom]:
     """All module homomorphisms, sorted by value vector.
 
-    Sources backed by power carriers use coordinate sections for the join and
-    action filters, which avoids touching every pair of the power.
+    A power module ``A^T`` (one made by :func:`power_module`, whose action is
+    coordinatewise) is a biproduct of ``T`` copies of ``A``, so
+    Hom(A^T, L) = Hom(A, L)^T through f(x) = h_1(x_1) v ... v h_T(x_T), and
+    Hom(L, A^T) = Hom(L, A)^T through f(y) = (h_1(y), ..., h_T(y)).  The
+    homs of the base are enumerated once and the tuples assembled from them;
+    a tuple of maps is a hom exactly when each of its maps is.  Every other
+    pair, including a module with an explicit action on a power carrier, goes
+    through the generic search: join-preserving maps of the carriers (see
+    :func:`tensalg.lattice.enumerate_join_preserving_maps`) that commute
+    with the action.
+
+    ``budget`` bounds every base search, and BudgetExceeded is raised before
+    assembly when the number of tuples |Hom(A, L)|^T exceeds it.
     """
     if source.quantale is not target.quantale:
         raise SourceTargetQuantaleMismatch(
             f"{source.name} and {target.name} live over different quantales",
             witness=(source.name, target.name))
-    src, dst = source.carrier, target.carrier
-    if src.is_power:
-        ji = src.join_irreducibles()
-        vectors = []
-        for g in _monotone_assignments(src, dst, budget):
-            if _power_hom_sections_ok(source, target, g):
-                vectors.append(tuple(dst.join(g[j] for j in ji if src.leq(j, x))
-                                     for x in range(src.n)))
-        vectors.sort()
+    return [ModuleHom(source, target, f)
+            for f in _hom_vectors(source, target, budget)]
+
+
+def _hom_vectors(source: VModule, target: VModule,
+                 budget: int | None) -> list[tuple[int, ...]]:
+    if source.is_power:
+        src, join = source.carrier, target.carrier.join
+        tuples = _hom_tuples(_hom_vectors(source.base, target, budget),
+                             src.arity, budget)
+        coords = [src.decode(x) for x in range(src.n)]
+        vectors = [tuple(join(h[c] for h, c in zip(hs, t)) for t in coords)
+                   for hs in tuples]
+    elif target.is_power:
+        encode = target.carrier.encode
+        tuples = _hom_tuples(_hom_vectors(source, target.base, budget),
+                             target.carrier.arity, budget)
+        vectors = [tuple(encode([h[y] for h in hs]) for y in range(source.n))
+                   for hs in tuples]
     else:
-        vectors = [f for f in enumerate_join_preserving_maps(src, dst, budget=budget)
-                   if _action_ok(f, source, target)]
-    return [ModuleHom(source, target, f) for f in vectors]
+        return [f for f in enumerate_join_preserving_maps(
+                    source.carrier, target.carrier, budget=budget)
+                if _action_ok(f, source, target)]
+    vectors.sort()
+    return vectors
+
+
+def _hom_tuples(base: list, arity: int, budget: int | None):
+    limit = DEFAULT_ENUM_BUDGET if budget is None else budget
+    if len(base) ** arity > limit:
+        raise BudgetExceeded(
+            f"{len(base)}^{arity} hom tuples exceed budget {limit}",
+            witness=(len(base), arity))
+    return iter_product(base, repeat=arity)
 
 
 def _action_ok(values, source: VModule, target: VModule) -> bool:
@@ -252,30 +286,6 @@ def _action_ok(values, source: VModule, target: VModule) -> bool:
             if values[source.act(v, a)] != target.act(v, values[a]):
                 return False
     return True
-
-
-def _power_hom_sections_ok(source: VModule, target: VModule, g: dict) -> bool:
-    src, dst = source.carrier, target.carrier
-    base = source.base
-    blat = base.carrier
-    bji = blat.join_irreducibles()
-    nv = source.quantale.n
-    for k in range(src.arity):
-        h = [dst.join(g[_delta(src, j0, k)] for j0 in bji if blat.leq(j0, u))
-             for u in range(blat.n)]
-        if join_violation(blat, dst, h) is not None:
-            return False
-        for v in range(nv):
-            for u in range(blat.n):
-                if h[base.act(v, u)] != target.act(v, h[u]):
-                    return False
-    return True
-
-
-def _delta(power: FinLattice, x: int, k: int) -> int:
-    t = [power.base.bottom] * power.arity
-    t[k] = x
-    return power.encode(t)
 
 
 def identity_module_hom(module: VModule) -> ModuleHom:

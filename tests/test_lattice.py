@@ -118,10 +118,7 @@ def _random_lattice_strategy():
     ])
 
 
-@settings(max_examples=40, deadline=None)
-@given(src=_random_lattice_strategy(), dst=_random_lattice_strategy())
-def test_join_preserving_enumeration_matches_brute_force(src, dst):
-    fast = sorted(tuple(m) for m in enumerate_join_preserving_maps(src, dst))
+def _brute_force_join_maps(src, dst):
     slow = []
     for vec in product(range(dst.n), repeat=src.n):
         if vec[src.bottom] != dst.bottom:
@@ -129,7 +126,31 @@ def test_join_preserving_enumeration_matches_brute_force(src, dst):
         if all(vec[src.join2(a, b)] == dst.join2(vec[a], vec[b])
                for a in range(src.n) for b in range(src.n)):
             slow.append(vec)
-    assert fast == sorted(slow)
+    return sorted(slow)
+
+
+@settings(max_examples=40, deadline=None)
+@given(src=_random_lattice_strategy(), dst=_random_lattice_strategy())
+def test_join_preserving_enumeration_matches_brute_force(src, dst):
+    fast = sorted(tuple(m) for m in enumerate_join_preserving_maps(src, dst))
+    assert fast == _brute_force_join_maps(src, dst)
+
+
+def _table_lattice(leq):
+    return validate_lattice([str(i) for i in range(len(leq))], leq)
+
+
+@pytest.mark.parametrize("base,arity,dst", [
+    (CHAIN3, 2, CHAIN2), (CHAIN2, 3, CHAIN3), (CHAIN3, 2, CHAIN3),
+    (CHAIN2, 2, DIAMOND)],
+    ids=["chain3^2-chain2", "chain2^3-chain3", "chain3^2-chain3",
+         "chain2^2-diamond"])
+def test_join_preserving_enumeration_on_power_source(base, arity, dst):
+    """Power carriers take the generic path; its output is already sorted."""
+    src = FinLattice.power(_table_lattice(base), arity)
+    dst = _table_lattice(dst)
+    fast = enumerate_join_preserving_maps(src, dst)
+    assert fast == _brute_force_join_maps(src, dst)
 
 
 @settings(max_examples=30, deadline=None)

@@ -407,17 +407,27 @@ def test_validate_module_on_powers(lat):
 
 # typed errors survive python -O ---------------------------------------------
 
-PLANTED_LAX_HOM = """
+PLANTED_BAD_MORPHISMS = """
 import sys
 if not sys.flags.optimize:
     raise SystemExit("asserts are not stripped")
 
+from tensalg.adjunctions import unit_nu
 from tensalg.errors import FNotModuleHom
 from tensalg.frames import validate_frame
-from tensalg.fsemilattice import validate_fsemilattice
-from tensalg.functors import tensor, tensor_lax_hom
+from tensalg.fsemilattice import construct_FJ, validate_fsemilattice
+from tensalg.functors import hom_frame, tensor, tensor_lax_hom
 from tensalg.generators import quantale_bool, self_module
 from tensalg.vmodule import ModuleHom
+
+
+def outcome(build):
+    try:
+        build()
+    except FNotModuleHom:
+        return "raised FNotModuleHom"
+    return "accepted"
+
 
 q = quantale_bool()
 m = self_module(q)
@@ -425,12 +435,15 @@ fsl = validate_fsemilattice(m, (0, 1))
 frame = validate_frame(q, ["p", "q"], [[1, 0], [0, 1]])
 tm = tensor(frame, fsl)
 constant_top = ModuleHom(m, m, (1, 1))       # moves bottom: not a hom
-try:
-    tensor_lax_hom(frame, constant_top, tm, tm)
-except FNotModuleHom:
-    print("raised FNotModuleHom")
-else:
-    print("accepted")
+print(outcome(lambda: tensor_lax_hom(frame, constant_top, tm, tm)))
+
+# evaluation at p and at q are homs out of m^2 over the unrelated frame,
+# but the hom frame of that power does not relate them, so mapping a frame
+# that links p and q onto them is not a frame morphism
+linked = validate_frame(q, ["p", "q"], [[1, 1], [1, 1]], name="K")
+fslJ = construct_FJ(m, frame)
+hf3 = hom_frame(fslJ, m)
+print(outcome(lambda: unit_nu(linked, fslJ.module, hf3)))
 """
 
 
@@ -438,7 +451,7 @@ def test_bad_morphism_still_raises_under_python_O():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-O", "-c", PLANTED_LAX_HOM],
+    proc = subprocess.run([sys.executable, "-O", "-c", PLANTED_BAD_MORPHISMS],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "raised FNotModuleHom"
+    assert proc.stdout.splitlines() == ["raised FNotModuleHom"] * 2

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensalg.errors import (ActionNotJoinPreserving, SizeLimitExceeded,
-                            UnitActionFails)
-from tensalg.generators import (hom_enumeration_cross_check, quantale_pool,
-                                random_module, self_module)
-from tensalg.lattice import validate_lattice
+from tensalg.errors import (ActionNotJoinPreserving, BudgetExceeded,
+                            SizeLimitExceeded, UnitActionFails)
+from tensalg.generators import (hom_enumeration_cross_check, quantale_bool,
+                                quantale_luk, quantale_pool, random_module,
+                                self_module)
+from tensalg.lattice import FinLattice, validate_lattice
 from tensalg.reference_example import (base_quantale, diamond_module,
                                        target_module)
 from tensalg.vmodule import (compose_module_homs, enumerate_module_homs,
@@ -133,6 +134,56 @@ def test_power_source_enumeration_matches_brute_force():
     p = power_module(L, 2)
     assert hom_enumeration_cross_check(p, L)
     assert hom_enumeration_cross_check(L, p)
+
+
+def _power_oracle_pairs():
+    """Each pool quantale against its square, both ways, where the brute
+    force over |L|^|source| value vectors stays within 10^5; and bool2
+    against its cube."""
+    pairs = []
+    for q in quantale_pool():
+        A = self_module(q)
+        P = power_module(A, 2)
+        pairs += [(s, t) for s, t in ((P, A), (A, P)) if t.n ** s.n <= 10 ** 5]
+    A = self_module(quantale_bool())
+    P = power_module(A, 3)
+    return pairs + [(P, A), (A, P)]
+
+
+@pytest.mark.parametrize("source,target", _power_oracle_pairs(),
+                         ids=lambda m: m.name)
+def test_power_enumeration_matches_brute_force_over_pool(source, target):
+    homs = [h.values for h in enumerate_module_homs(source, target)]
+    assert homs == sorted(homs)
+    assert hom_enumeration_cross_check(source, target)
+
+
+def test_explicit_action_on_power_carrier_takes_generic_path():
+    """A module on a power carrier with its own action table is not a power
+    module, so enumeration must not assume a coordinatewise action."""
+    q = quantale_bool()
+    A = self_module(q)
+    P = power_module(A, 2)
+    M = validate_module(q, FinLattice.power(A.carrier, 2), P.action_rows())
+    assert M.carrier.is_power and not M.is_power
+    assert hom_enumeration_cross_check(M, A)
+    assert hom_enumeration_cross_check(A, M)
+    assert ([h.values for h in enumerate_module_homs(M, A)]
+            == [h.values for h in enumerate_module_homs(P, A)])
+
+
+def test_power_hom_budget_is_a_bound():
+    """luk4 has 4 endomorphisms, found within a budget of 34 nodes; the
+    64 tuples of a cube are refused before any is assembled."""
+    A = self_module(quantale_luk(4))
+    P = power_module(A, 3)
+    for source, target in ((P, A), (A, P)):
+        with pytest.raises(BudgetExceeded) as info:
+            enumerate_module_homs(source, target, budget=63)
+        assert info.value.witness == (4, 3)
+        assert len(enumerate_module_homs(source, target, budget=64)) == 64
+        with pytest.raises(BudgetExceeded):
+            enumerate_module_homs(source, target, budget=10)
 
 
 @settings(max_examples=25, deadline=None)
