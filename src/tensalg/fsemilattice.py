@@ -87,7 +87,9 @@ def construct_FJ(module: VModule, frame: VFrame, cap: int | None = None,
             witness=module.quantale.name)
     power = power_module(module, frame.n, cap=cap,
                          name=name or f"{module.name}^{frame.name}")
-    F = tuple(fj_apply_encoded(power, frame, x) for x in range(power.n))
+    lat = power.carrier
+    F = tuple(lat.encode(fj_apply_tuple(module, frame, lat.decode(x)))
+              for x in range(power.n))
     sem = validate_fsemilattice(power, F, name=name or f"({module.name}^{frame.name})")
     return sem
 
@@ -98,11 +100,6 @@ def fj_apply_tuple(module: VModule, frame: VFrame,
     lat = module.carrier
     return tuple(lat.join(module.act(frame.r[i][k], x[k]) for k in range(frame.n))
                  for i in range(frame.n))
-
-
-def fj_apply_encoded(power: VModule, frame: VFrame, x: int) -> int:
-    lat = power.carrier
-    return lat.encode(fj_apply_tuple(power.base, frame, lat.decode(x)))
 
 
 def lift_hom_FJ(f: ModuleHom, frame: VFrame, source_fj: FSemilattice,

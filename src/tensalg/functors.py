@@ -27,33 +27,33 @@ def delta_tuple(arity: int, bottom: int, x: int, i: int) -> tuple[int, ...]:
     return tuple(x if j == i else bottom for j in range(arity))
 
 
-def smear_tuple(module: VModule, frame: VFrame, x: int, i: int) -> tuple[int, ...]:
-    """Position j carries r(i,j) acting on x."""
-    return tuple(module.act(frame.r[i][j], x) for j in range(frame.n))
-
-
-def delta_element(power: VModule, x: int, i: int) -> int:
-    """Encoded form of delta_tuple in a materialized power module."""
-    lat = power.carrier
-    return lat.encode(delta_tuple(lat._arity, power.base.carrier.bottom, x, i))
-
-
 # tensor --------------------------------------------------------------------
+
+def tensor_pairs(module: VModule, r, F) -> list[tuple[tuple, tuple]]:
+    """The generating pairs (smear(x,i) v delta(F x,i), delta(F x,i)).
+
+    Works on raw tuples over ``module``, so the power never has to exist;
+    ``r`` indexes the tuple positions and ``F`` is the operator table.
+    Position k of smear(x,i) carries r(i,k) acting on x.
+    """
+    arity = len(r)
+    lat = module.carrier
+    out = []
+    for x in range(module.n):
+        for i in range(arity):
+            dlt = delta_tuple(arity, lat.bottom, F[x], i)
+            c = tuple(lat.join2(module.act(r[i][k], x), dlt[k])
+                      for k in range(arity))
+            out.append((c, dlt))
+    return out
+
 
 def tensor_pairs_encoded(power: VModule, frame: VFrame, fsl: FSemilattice
                          ) -> list[tuple[int, int]]:
-    """The generating pairs (smear(x,i) v delta(F x,i), delta(F x,i))."""
-    lat = power.carrier
-    base = fsl.module
-    out = []
-    for x in range(base.n):
-        fx = fsl.F[x]
-        for i in range(frame.n):
-            smear = smear_tuple(base, frame, x, i)
-            dlt = delta_tuple(frame.n, base.carrier.bottom, fx, i)
-            c = tuple(base.carrier.join2(s, d) for s, d in zip(smear, dlt))
-            out.append((lat.encode(c), lat.encode(dlt)))
-    return out
+    """The generating pairs of the tensor, encoded in the materialized power."""
+    enc = power.carrier.encode
+    return [(enc(c), enc(d))
+            for c, d in tensor_pairs(fsl.module, frame.r, fsl.F)]
 
 
 @dataclass(frozen=True)
@@ -66,9 +66,6 @@ class TensorModule:
     quotient: VModule
     projection: ModuleHom
     fixed: tuple[int, ...]
-
-    def project(self, encoded: int) -> int:
-        return self.projection.values[encoded]
 
 
 def tensor(frame: VFrame, fsl: FSemilattice, cap: int | None = None,
@@ -114,16 +111,10 @@ def forward_map(f: FrameHom, module: VModule,
     its preimage fiber."""
     slat = source_power.carrier
     tlat = target_power.carrier
-    base = module.carrier
-    fibers = [[i for i in range(f.source.n) if f.mapping[i] == k]
-              for k in range(f.target.n)]
-    values = []
-    for enc in range(slat.n):
-        tup = slat.decode(enc)
-        out = tuple(base.join(tup[i] for i in fibers[k])
-                    for k in range(f.target.n))
-        values.append(tlat.encode(out))
-    hom = ModuleHom(source_power, target_power, tuple(values))
+    values = tuple(
+        tlat.encode(forward_tuple(f, module.carrier, slat.decode(enc)))
+        for enc in range(slat.n))
+    hom = ModuleHom(source_power, target_power, values)
     if not is_module_hom(hom, source_power, target_power):
         raise FNotModuleHom("forward map is not a module hom", witness=f.mapping)
     return hom
@@ -191,30 +182,32 @@ class HomFrame:
     homs: tuple[ModuleHom, ...]
     frame: VFrame
 
+    def __post_init__(self):
+        object.__setattr__(self, "_index",
+                           {h.values: k for k, h in enumerate(self.homs)})
+
     @property
     def n(self) -> int:
         return len(self.homs)
 
     def index_of(self, values: tuple[int, ...]) -> int:
-        for k, h in enumerate(self.homs):
-            if h.values == values:
-                return k
-        raise KeyError(f"no point with value table {values}")
+        try:
+            return self._index[values]
+        except KeyError:
+            raise KeyError(f"no point with value table {values}") from None
 
 
 def hom_frame_relation(fsl: FSemilattice, target: VModule,
-                       homs: tuple[ModuleHom, ...]) -> list[list[int]]:
+                       tables) -> list[list[int]]:
+    """r(f, g) = meet over x of (g(x) -> f(F x)), for maps given by their
+    value tables over the carrier of ``fsl``; row = first argument."""
     lat = fsl.quantale.lattice
     res = [[module_residuate(target, u, w) for w in range(target.n)]
            for u in range(target.n)]
-    table = []
-    for alpha in homs:
-        row = []
-        for beta in homs:
-            row.append(lat.meet(res[beta.values[x]][alpha.values[fsl.F[x]]]
-                                for x in range(fsl.n)))
-        table.append(row)
-    return table
+    F = fsl.F
+    return [[lat.meet(res[g[x]][f[F[x]]] for x in range(fsl.n))
+             for g in tables]
+            for f in tables]
 
 
 def hom_frame(fsl: FSemilattice, target: VModule,
@@ -229,7 +222,7 @@ def hom_frame(fsl: FSemilattice, target: VModule,
         raise NonCommutativeBase("hom frame requires a commutative quantale",
                                  witness=q.name)
     homs = tuple(enumerate_module_homs(fsl.module, target, budget=budget))
-    r = hom_frame_relation(fsl, target, homs)
+    r = hom_frame_relation(fsl, target, [h.values for h in homs])
     name = name or f"[{fsl.name},{target.name}]"
     frame = validate_frame(q, [f"h{k}" for k in range(len(homs))], r, name=name)
     return HomFrame(fsl, target, homs, frame)

@@ -15,7 +15,7 @@ docstring gives the argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .errors import (GDoesNotRespectX, NotACongruence, NotANucleus,
                      NotAPrenucleus)
@@ -53,47 +53,58 @@ class Congruence:
         return out
 
 
-# pair saturation ----------------------------------------------------------
+# pair nucleus -------------------------------------------------------------
 
-def saturate_pairs(pairs: Iterable[tuple], act: Callable, f_op: Callable | None,
-                   scalars: range) -> list[tuple]:
-    """Close a pair set under (v*c, v*d) for every scalar, and under (F c, F d)
-    when an operator is given.  Elements may be indices or tuples, anything
-    hashable."""
-    seen = set()
-    order = []
-    work = []
-    for p in pairs:
-        if p not in seen:
-            seen.add(p)
-            order.append(p)
-            work.append(p)
-    while work:
-        c, d = work.pop()
-        images = [(act(v, c), act(v, d)) for v in scalars]
-        if f_op is not None:
-            images.append((f_op(c), f_op(d)))
-        for p in images:
+class PairNucleus:
+    """The inflation j[X] of a saturated pair set X.
+
+    The given pairs are closed under (v*c, v*d) for every scalar, and under
+    (F c, F d) when an operator is given; ``pairs`` keeps first-seen order.
+    j maps a to a joined with every c whose partner d lies below a, reading
+    pairs in both orientations.  Elements may be indices or tuples, anything
+    hashable that the supplied operations accept.
+    """
+
+    def __init__(self, pairs: Iterable[tuple], scalars: range,
+                 act: Callable, leq: Callable, join2: Callable,
+                 f_op: Callable | None = None):
+        self.leq = leq
+        self.join2 = join2
+        seen = set()
+        order = []
+        work = []
+
+        def add(p):
             if p not in seen:
                 seen.add(p)
                 order.append(p)
                 work.append(p)
-    return order
 
+        for p in pairs:
+            add(p)
+        while work:
+            c, d = work.pop()
+            for v in scalars:
+                add((act(v, c), act(v, d)))
+            if f_op is not None:
+                add((f_op(c), f_op(d)))
+        self.pairs = order
+        self.oriented = order + [(d, c) for c, d in order if c != d]
 
-def pair_operator(pairs: Sequence[tuple], leq: Callable, join2: Callable) -> Callable:
-    """The inflation j[X]: a maps to a joined with every c whose partner d
-    lies below a, reading pairs in both orientations."""
-    both = list(pairs) + [(d, c) for c, d in pairs if c != d]
-
-    def j(a):
+    def j(self, a):
+        leq, join2 = self.leq, self.join2
         out = a
-        for c, d in both:
+        for c, d in self.oriented:
             if leq(d, a):
                 out = join2(out, c)
         return out
 
-    return j
+    def constant_on_pairs(self, fn) -> tuple | None:
+        """First saturated pair a function distinguishes, or None."""
+        for c, d in self.pairs:
+            if fn(c) != fn(d):
+                return (c, d)
+        return None
 
 
 # prenucleus and nucleus predicates ---------------------------------------
@@ -151,14 +162,13 @@ def prenucleus_from_pairs(host: FSemilattice, pairs: Iterable[tuple[int, int]],
     re-checked."""
     mod = host.module
     lat = mod.carrier
-    sat = saturate_pairs(pairs, mod.act, lambda a: host.F[a],
-                         range(mod.quantale.n))
-    j = pair_operator(sat, lat.leq, lat.join2)
-    op = EndoOperator(host, tuple(j(a) for a in range(lat.n)))
+    pn = PairNucleus(pairs, range(mod.quantale.n), mod.act, lat.leq,
+                     lat.join2, f_op=host.F.__getitem__)
+    op = EndoOperator(host, tuple(pn.j(a) for a in range(lat.n)))
     bad = prenucleus_violation(op)
     if bad is not None:
         raise NotAPrenucleus(f"pair operator violates {bad}", witness=bad)
-    return op, sat
+    return op, pn.pairs
 
 
 def closure_of(op: EndoOperator) -> EndoOperator:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .functors import HomFrame, hom_frame
 from .adjunctions import mu_table, mu_violation
-from .fsemilattice import FSemilattice, validate_fsemilattice
+from .fsemilattice import FSemilattice, fj_apply_tuple, validate_fsemilattice
 from .lattice import validate_lattice
 from .quantale import Quantale, validate_quantale
 from .vmodule import VModule, validate_module
@@ -103,15 +103,8 @@ def build() -> ReferenceExample:
 
     # strictness of the evaluation morphism: compare the powered operator
     # applied to a row against the row of the operator image
-    r = hf.frame.r
-    strict = True
-    for x in range(A.n):
-        fx = H.F[x]
-        lhs = tuple(L.join(L.act(r[a][b], rows[x][b]) for b in range(hf.n))
-                    for a in range(hf.n))
-        if lhs != rows[fx]:
-            strict = False
-            break
+    strict = all(fj_apply_tuple(L, hf.frame, rows[x]) == rows[H.F[x]]
+                 for x in range(A.n))
     return ReferenceExample(q, A, H, L, hf, rows, lax, strict, injective)
 
 

@@ -4,9 +4,9 @@ import pytest
 
 from tensalg.errors import FNotModuleHom, NonCommutativeBase
 from tensalg.frames import FrameHom, validate_frame
-from tensalg.fsemilattice import (construct_FJ, fj_apply_encoded,
-                                  fj_apply_tuple, is_f_hom, is_lax_morphism,
-                                  lift_hom_FJ, restrict_along_frame_hom,
+from tensalg.fsemilattice import (construct_FJ, fj_apply_tuple, is_f_hom,
+                                  is_lax_morphism, lift_hom_FJ,
+                                  restrict_along_frame_hom,
                                   validate_fsemilattice)
 from tensalg.generators import quantale_bool, self_module
 from tensalg.lattice import validate_lattice
@@ -78,7 +78,6 @@ def test_fj_matches_formula_on_example():
             for i in range(2))
         assert lat.decode(fsl.F[x]) == by_formula
         assert fj_apply_tuple(A, frame, tup) == by_formula
-        assert fj_apply_encoded(power, frame, x) == lat.encode(by_formula)
 
 
 def test_fj_crisp_is_relational_preimage():

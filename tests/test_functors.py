@@ -5,11 +5,10 @@ import pytest
 from tensalg.errors import BudgetExceeded
 from tensalg.frames import FrameHom, validate_frame
 from tensalg.fsemilattice import validate_fsemilattice
-from tensalg.functors import (delta_element, delta_tuple, forward_map,
-                              forward_tuple, hom_frame,
-                              hom_frame_contravariant, hom_frame_covariant,
-                              smear_tuple, tensor, tensor_frame_hom,
-                              tensor_lax_hom)
+from tensalg.functors import (delta_tuple, forward_map, forward_tuple,
+                              hom_frame, hom_frame_contravariant,
+                              hom_frame_covariant, tensor, tensor_frame_hom,
+                              tensor_lax_hom, tensor_pairs)
 from tensalg.generators import quantale_bool, self_module
 from tensalg.nucleus import is_nucleus
 from tensalg.reference_example import (base_quantale, diamond_module,
@@ -29,10 +28,15 @@ def test_delta_and_smear():
     A = diamond_module(q)
     frame = validate_frame(q, ["p", "q"], [[1, 0], [2, 1]])
     assert delta_tuple(2, 0, 2, 1) == (0, 2)
-    assert smear_tuple(A, frame, 2, 0) == (2, 0)      # r(p,q)=0 kills q
-    assert smear_tuple(A, frame, 2, 1) == (4, 2)      # r(q,p)=1 lifts b to 1
-    p = power_module(A, 2)
-    assert p.carrier.decode(delta_element(p, 2, 1)) == (0, 2)
+    # pair (x, i) sits at x * |T| + i; with F = bottom every delta is
+    # bottom, so the first components are the bare smears of x = b
+    pairs = tensor_pairs(A, frame.r, (0,) * A.n)
+    assert pairs[4] == ((2, 0), (0, 0))      # r(p,q)=0 kills q
+    assert pairs[5] == ((4, 2), (0, 0))      # r(q,p)=1 lifts b to 1
+    # with F(b) = a the smear is joined with the delta of a
+    pairs = tensor_pairs(A, frame.r, tense_operator(A).F)
+    assert pairs[4] == ((4, 0), (1, 0))
+    assert pairs[5] == ((4, 4), (0, 1))
 
 
 def test_tensor_identity_relation_keeps_power():
@@ -89,6 +93,9 @@ def test_hom_frame_matches_enumeration():
     assert [h.values for h in hf.homs] == \
         [h.values for h in enumerate_module_homs(A, L)]
     assert hf.index_of((0, 0, 1, 1, 1)) == 1
+    assert [hf.index_of(h.values) for h in hf.homs] == [0, 1, 2]
+    with pytest.raises(KeyError, match="no point with value table"):
+        hf.index_of((1, 1, 1, 1, 1))     # moves bottom, so not a hom
     # r(f8, f7) = top because f7 = f8 after F
     assert hf.frame.r[2][1] == 2
     assert hf.frame.r[0][0] == 2
