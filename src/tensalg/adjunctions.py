@@ -10,15 +10,15 @@ generating pair sets and on closure orbits.
 
 Second-level powers such as (L^T)^T routinely exceed the materialization cap.
 The nucleus of a pair set is therefore applied lazily to individual tuples;
-the pair sets stay small because they range over the inner carrier only.
-Where even the inner carrier is too large for a full scan, checks fall back
-to a deterministic stride sample and say so in their name.
+the pair sets stay small because they range over the join-irreducibles of
+the inner carrier only, so every check here is exhaustive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import product
 
 from .errors import (BudgetExceeded, CompositionMismatch, FNotModuleHom,
                      GDoesNotRespectX, NotAPrenucleus, SizeLimitExceeded)
@@ -32,9 +32,7 @@ from .functors import (HomFrame, TensorModule, delta_tuple, forward_tuple,
 from .nucleus import PairNucleus
 from .vmodule import ModuleHom, VModule, is_module_hom, power_module
 
-SECOND_LEVEL_FULL = 4096     # walk a second-level power exhaustively below this
-SECOND_LEVEL_SAMPLE = 128    # deterministic stride sample size above it
-ORBIT_OP_BUDGET = 1_500_000  # cap on pair-scan work during closure orbit checks
+SECOND_LEVEL_FULL = 4096     # largest power adj3's relation oracle builds
 HOM_FRAME_POINT_CAP = 200    # largest point count tolerated for lax validation
 
 
@@ -105,36 +103,6 @@ class TuplePairNucleus(PairNucleus):
                 return cur
             cur = nxt
         raise NotAPrenucleus("lazy nucleus failed to stabilize", witness=t)
-
-
-def _second_level_elements(inner_n: int, arity: int):
-    """All (or a deterministic stride sample of) tuples over an inner carrier."""
-    total = inner_n ** arity
-    if total <= SECOND_LEVEL_FULL:
-        indices = range(total)
-        full = True
-    else:
-        step = max(1, total // SECOND_LEVEL_SAMPLE)
-        indices = range(0, total, step)
-        full = False
-
-    def decode(ix: int) -> tuple:
-        out = []
-        for _ in range(arity):
-            out.append(ix % inner_n)
-            ix //= inner_n
-        return tuple(out)
-
-    return [decode(ix) for ix in indices], full
-
-
-def _orbit_seeds(seeds: list, scan_cost: int):
-    """Trim a closure-orbit seed list so the pair scans stay affordable."""
-    if not seeds or len(seeds) * scan_cost <= ORBIT_OP_BUDGET:
-        return seeds, True
-    keep = max(4, ORBIT_OP_BUDGET // max(1, scan_cost))
-    step = max(1, len(seeds) // keep)
-    return seeds[::step][:keep], False
 
 
 # units and counits ----------------------------------------------------------
@@ -252,14 +220,19 @@ def phi_tables(tm: TensorModule) -> list[tuple[int, ...]]:
 
 def phi_violation(tm: TensorModule) -> tuple | None:
     """phi's points must be homs and the point map must not decrease r."""
+    points = phi_tables(tm)
+    return _phi_violation(tm, points,
+                          hom_frame_relation(tm.fsl, tm.quotient, points))
+
+
+def _phi_violation(tm: TensorModule, points, bound) -> tuple | None:
+    """phi_violation given the phi tables and the relation between them."""
     A = tm.fsl.module
     Q = tm.quotient
-    points = phi_tables(tm)
     for i, vals in enumerate(points):
         if not is_module_hom(vals, A, Q):
             return ("point", i)
     lat = Q.quantale.lattice
-    bound = hom_frame_relation(tm.fsl, Q, points)
     for i in range(tm.frame.n):
         for k in range(tm.frame.n):
             if not lat.leq(tm.frame.r[i][k], bound[i][k]):
@@ -356,58 +329,25 @@ def check_triangles_adjunction1(frame: VFrame, fsl: FSemilattice, L: VModule,
     report.add("adj1.triangle-tensor", instance, witness is None, witness)
 
     # the counit on the tensor side is used through its defining equation
-    # only; verify the evaluation join is constant on the pair set one level
-    # up.  Small powers of the tensor get the full saturated pair set plus
-    # closure orbits; large ones a stride sample of the generating pairs
-    # (scalar saturation cannot break constancy of a join of coordinate
-    # projections, the action distributes through it).
-    if Q.n ** arity <= SECOND_LEVEL_FULL:
-        fslQJ = construct_FJ(Q, frame)
-        powerQ = fslQJ.module
-        pq = powerQ.carrier
-        lazy1a = TuplePairNucleus(
-            powerQ, arity, tensor_pairs(powerQ, r, fslQJ.F))
-        e_val_q = partial(power_eval_join, powerQ)
-        bad_pair = lazy1a.constant_on_pairs(e_val_q)
-        report.add("adj1.eps-pair-constancy-full", instance,
-                   bad_pair is None, bad_pair)
+    # only; verify the evaluation join is constant on the saturated pair set
+    # one level up, and on the closure orbit of every pushed-forward class
+    fslQJ = construct_FJ(Q, frame)
+    powerQ = fslQJ.module
+    pq = powerQ.carrier
+    lazy1a = TuplePairNucleus(powerQ, arity, tensor_pairs(powerQ, r, fslQJ.F))
+    e_val_q = partial(power_eval_join, powerQ)
+    bad_pair = lazy1a.constant_on_pairs(e_val_q)
+    report.add("adj1.eps-pair-constancy-full", instance, bad_pair is None,
+               bad_pair)
 
-        seeds = [tuple(pq.encode(eta_rows[plat.decode(p)[i]])
-                       for i in range(arity)) for p in tm.fixed]
-        seeds, orbits_full = _orbit_seeds(seeds, len(lazy1a.oriented) * arity)
-        witness = None
-        for ybar in seeds:
-            if e_val_q(lazy1a.n(ybar)) != e_val_q(ybar):
-                witness = ybar
-                break
-        label = "adj1.eps-orbit-constancy" + ("" if orbits_full else "-sampled")
-        report.add(label, instance, witness is None, witness)
-    else:
-        zs, _ = _second_level_elements(Q.n, arity)
-        qlat = Q.carrier
-        bottom = (qlat.bottom,) * arity
-
-        def e_val_tuples(ybar: tuple) -> int:
-            return Q.join(ybar[i][i] for i in range(arity))
-
-        witness = None
-        for z in zs:
-            fz = fj_apply_tuple(Q, frame, z)
-            for i in range(arity):
-                # the pair at (z, i): the smear of z joined with the delta
-                # of its operator image, against that delta
-                dlt = delta_tuple(arity, bottom, fz, i)
-                c = tuple(tuple(qlat.join2(Q.act(r[i][k], zz), dd)
-                                for zz, dd in zip(z, dlt[k]))
-                          for k in range(arity))
-                e_c, e_d = e_val_tuples(c), e_val_tuples(dlt)
-                if e_c != e_d:
-                    witness = (z, i, e_c, e_d)
-                    break
-            if witness:
-                break
-        report.add("adj1.eps-pair-constancy-sampled", instance,
-                   witness is None, witness)
+    witness = None
+    for p in tm.fixed:
+        ybar = tuple(pq.encode(eta_rows[plat.decode(p)[i]])
+                     for i in range(arity))
+        if e_val_q(lazy1a.n(ybar)) != e_val_q(ybar):
+            witness = ybar
+            break
+    report.add("adj1.eps-orbit-constancy", instance, witness is None, witness)
 
     # second identity, on the power of L: close each delta lazily, then the
     # evaluation join must return the original coordinate
@@ -422,18 +362,15 @@ def check_triangles_adjunction1(frame: VFrame, fsl: FSemilattice, L: VModule,
                bad_pair)
 
     enc_bottom = pl.encode((L.carrier.bottom,) * arity)
-    seeds = [(xbar, i) for xbar in range(powerL.n) for i in range(arity)]
-    seeds, orbits_full = _orbit_seeds(seeds, len(lazy1b.oriented) * arity)
     witness = None
-    for xbar, i in seeds:
+    for xbar, i in product(range(powerL.n), range(arity)):
         ybar = delta_tuple(arity, enc_bottom, xbar, i)
         closed = lazy1b.n(ybar)
         expect = pl.decode(xbar)[i]
         if e_val(closed) != expect or e_val(ybar) != expect:
             witness = (xbar, i, e_val(closed), expect)
             break
-    label = "adj1.triangle-power" + ("" if orbits_full else "-sampled")
-    report.add(label, instance, witness is None, witness)
+    report.add("adj1.triangle-power", instance, witness is None, witness)
     return report
 
 
@@ -453,14 +390,15 @@ def check_triangles_adjunction2(frame: VFrame, fsl: FSemilattice, L: VModule,
     plat = tm.power.carrier
     bottomA = A.carrier.bottom
 
-    bad = phi_violation(tm)
+    points = phi_tables(tm)
+    r_points = hom_frame_relation(fsl, Q, points)
+    bad = _phi_violation(tm, points, r_points)
     report.add("adj2.phi-frame-hom", instance, bad is None, bad)
 
     # first identity, on the tensor carrier: push a fixed point forward
     # along phi, then take the evaluation join in the hom frame of the
     # tensor.  Points outside phi's image receive bottom and contribute
     # bottom to the join, so the composite only reads the phi tables.
-    points = phi_tables(tm)
     witness = None
     for p in tm.fixed:
         tup = plat.decode(p)
@@ -477,7 +415,7 @@ def check_triangles_adjunction2(frame: VFrame, fsl: FSemilattice, L: VModule,
         hf2 = hom_frame(fsl, Q, budget=budget)
     except BudgetExceeded:
         label = "adj2.psi-pair-constancy-tensor-level-image"
-        tables2, r2 = points, hom_frame_relation(fsl, Q, points)
+        tables2, r2 = points, r_points
     else:
         for vals in points:
             hf2.index_of(vals)   # phi's image must be among the points
@@ -500,18 +438,15 @@ def check_triangles_adjunction2(frame: VFrame, fsl: FSemilattice, L: VModule,
     bad_pair = lazy2b.constant_on_pairs(f_val)
     report.add("adj2.psi-pair-constancy", instance, bad_pair is None, bad_pair)
 
-    seeds = [(a, x) for a in range(hf.n) for x in range(A.n)]
-    seeds, orbits_full = _orbit_seeds(seeds, len(lazy2b.oriented) * hf.n)
     witness = None
-    for a, x in seeds:
+    for a, x in product(range(hf.n), range(A.n)):
         dlt = delta_tuple(hf.n, bottomA, x, a)
         closed = lazy2b.n(dlt)
         got = f_val(closed)
         if got != tables[a][x] or f_val(dlt) != got:
             witness = (a, x, got, tables[a][x])
             break
-    label = "adj2.triangle-homframe" + ("" if orbits_full else "-sampled")
-    report.add(label, instance, witness is None, witness)
+    report.add("adj2.triangle-homframe", instance, witness is None, witness)
     return report
 
 
@@ -658,7 +593,7 @@ def _counit_square(name: str, module: VModule, r, F, lhs_fn, rhs_fn,
     """Both routes around a counit square on tuples over ``module``: each
     must be constant on the saturated tensor pairs of ``r`` and ``F``, and
     the two must agree on every delta, which decides the square because
-    both preserve joins, and on a stride sample layered on top."""
+    both preserve joins and every tuple is the join of its deltas."""
     report = CheckReport()
     arity = len(r)
     lazy = TuplePairNucleus(module, arity, tensor_pairs(module, r, F))
@@ -668,9 +603,8 @@ def _counit_square(name: str, module: VModule, r, F, lhs_fn, rhs_fn,
     bottom = module.carrier.bottom
     xs = [delta_tuple(arity, bottom, x, i)
           for x in range(module.n) for i in range(arity)]
-    extra, _ = _second_level_elements(module.n, arity)
     witness = None
-    for x in xs + extra:
+    for x in xs:
         lhs = lhs_fn(x)
         rhs = rhs_fn(x)
         if lhs != rhs:

@@ -30,16 +30,26 @@ def delta_tuple(arity: int, bottom: int, x: int, i: int) -> tuple[int, ...]:
 # tensor --------------------------------------------------------------------
 
 def tensor_pairs(module: VModule, r, F) -> list[tuple[tuple, tuple]]:
-    """The generating pairs (smear(x,i) v delta(F x,i), delta(F x,i)).
+    """The generating pairs (smear(x,i) v delta(F x,i), delta(F x,i)),
+    for join-irreducible x only.
 
     Works on raw tuples over ``module``, so the power never has to exist;
     ``r`` indexes the tuple positions and ``F`` is the operator table.
     Position k of smear(x,i) carries r(i,k) acting on x.
+
+    The remaining x add nothing.  Write c(x), d(x) for the pair at (x, i).
+    Both preserve joins in x, since the action and F do, and send bottom to
+    bottom.  For any nucleus n collapsing the pairs at x and y,
+    n(c(x v y)) = n(n c(x) v n c(y)) = n(n d(x) v n d(y)) = n(d(x v y)),
+    and every x is the join of the join-irreducibles below it.  Scalar
+    saturation commutes with these joins, so the pairs here generate the
+    same nucleus as all of them, and a join-preserving map constant on
+    their saturation is constant on the full saturated set.
     """
     arity = len(r)
     lat = module.carrier
     out = []
-    for x in range(module.n):
+    for x in lat.join_irreducibles():
         for i in range(arity):
             dlt = delta_tuple(arity, lat.bottom, F[x], i)
             c = tuple(lat.join2(module.act(r[i][k], x), dlt[k])

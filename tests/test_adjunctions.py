@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from tensalg import adjunctions
+from tensalg import adjunctions, functors
 from tensalg.adjunctions import (TuplePairNucleus, check_naturality_eps,
                                  check_naturality_eta, check_naturality_mu,
                                  check_naturality_nu,
@@ -15,12 +15,13 @@ from tensalg.adjunctions import (TuplePairNucleus, check_naturality_eps,
                                  run_all_triangles, unit_mu, unit_nu)
 from tensalg.errors import CompositionMismatch
 from tensalg.frames import FrameHom, validate_frame
-from tensalg.fsemilattice import validate_fsemilattice
-from tensalg.functors import (hom_frame, tensor, tensor_pairs,
-                              tensor_pairs_encoded)
-from tensalg.generators import (naturality_suite, quantale_bool,
-                                quantale_pool, random_frame, random_fsl,
-                                self_module, triangles_suite)
+from tensalg.fsemilattice import FSemilattice, validate_fsemilattice
+from tensalg.functors import (hom_frame, hom_frame_relation, tensor,
+                              tensor_pairs, tensor_pairs_encoded)
+from tensalg.generators import (draw_instance, naturality_suite,
+                                quantale_bool, quantale_pool, random_frame,
+                                random_fsl, self_module, triangles_suite)
+from tensalg.nucleus import closure_of, prenucleus_from_pairs
 from tensalg.reference_example import (base_quantale, diamond_module,
                                        target_module, tense_operator)
 from tensalg.vmodule import ModuleHom
@@ -143,32 +144,72 @@ def identity_diamond_instance():
     return H, L, frame
 
 
-@pytest.mark.parametrize("setting, expected", [
-    (("ORBIT_OP_BUDGET", 1), {"adj1.eps-orbit-constancy-sampled",
-                              "adj1.triangle-power-sampled",
-                              "adj2.triangle-homframe-sampled"}),
-    (("SECOND_LEVEL_FULL", 1), {"adj1.eps-pair-constancy-sampled"}),
-])
-def test_sampled_fallbacks_are_reached_and_pass(monkeypatch, setting,
-                                                expected):
+def test_identity_diamond_runs_full_checks_only():
+    """|Q| = 25 with |T| = 2: adjunctions 1 and 2 report only their
+    exhaustive check names, and every check passes."""
     H, L, frame = identity_diamond_instance()
-    monkeypatch.setattr(adjunctions, *setting)
     report = check_triangles_adjunction1(frame, H, L, instance="id")
     report.extend(check_triangles_adjunction2(frame, H, L, instance="id"))
-    assert expected <= {c.name for c in report.checks}
+    assert {c.name for c in report.checks} == {
+        "adj1.eta-lax-morphism", "adj1.triangle-tensor",
+        "adj1.eps-pair-constancy-full", "adj1.eps-orbit-constancy",
+        "adj1.eps-pair-constancy-power", "adj1.triangle-power",
+        "adj2.phi-frame-hom", "adj2.triangle-tensor",
+        "adj2.psi-pair-constancy-tensor-level", "adj2.psi-pair-constancy",
+        "adj2.triangle-homframe"}
     assert report.passed, [c.line() for c in report.failures]
 
 
-def test_image_fallback_is_reached_and_passes():
+def test_largest_suite_power_of_the_tensor_is_checked_in_full():
+    """Suite seed 3, instance 59, has the largest Q^T of suite seeds 0-11
+    (21^3 = 9261); adjunction 1 still checks its pairs and orbits there."""
+    inst = draw_instance(3, 59)
+    tm = tensor(inst.frame, inst.fsl)
+    assert tm.quotient.n ** inst.frame.n == 9261
+    report = check_triangles_adjunction1(inst.frame, inst.fsl, inst.L, tm=tm,
+                                         instance=inst.tag)
+    names = {c.name for c in report.checks}
+    assert {"adj1.eps-pair-constancy-full",
+            "adj1.eps-orbit-constancy"} <= names
+    assert report.passed, [c.line() for c in report.failures]
+
+
+def test_transposed_tensor_pairs_are_caught(monkeypatch):
+    """Tensor pairs built with r transposed generate the wrong nucleus on
+    the asymmetric example frame, and the pair-constancy checks see it."""
+    q, A, H, L, frame = example_instance()
+
+    def transposed(module, r, F):
+        return tensor_pairs(module, [list(col) for col in zip(*r)], F)
+
+    monkeypatch.setattr(adjunctions, "tensor_pairs", transposed)
+    report = check_triangles_adjunction1(frame, H, L, instance="mutant")
+    report.extend(check_triangles_adjunction2(frame, H, L, instance="mutant"))
+    failed = {c.name for c in report.failures}
+    assert {"adj1.eps-pair-constancy-power",
+            "adj2.psi-pair-constancy"} <= failed
+
+
+def test_image_fallback_is_reached_and_passes(monkeypatch):
     """Hom(A, L) fits in the budget but Hom(A, Q) does not, so the
-    tensor-level constancy runs on the relation restricted to phi's image."""
+    tensor-level constancy runs on the relation restricted to phi's image;
+    that relation is computed once, beside the one of Hom(A, L)."""
     H, L, frame = identity_diamond_instance()
+    calls = []
+
+    def counted(fsl, target, tables):
+        calls.append(target.n)
+        return hom_frame_relation(fsl, target, tables)
+
+    monkeypatch.setattr(functors, "hom_frame_relation", counted)
+    monkeypatch.setattr(adjunctions, "hom_frame_relation", counted)
     report = check_triangles_adjunction2(frame, H, L, budget=14,
                                          instance="id")
     names = {c.name for c in report.checks}
     assert "adj2.psi-pair-constancy-tensor-level-image" in names
     assert "adj2.psi-pair-constancy-tensor-level" not in names
     assert report.passed, [c.line() for c in report.failures]
+    assert sorted(calls) == sorted([L.n, 25])
 
 
 def test_typed_errors_on_non_power_modules():
@@ -186,7 +227,9 @@ def test_typed_errors_on_non_power_modules():
 def test_lazy_nucleus_matches_materialized_tensor(q):
     """The tuple nucleus of the tensor pairs closes every power element to
     the element the materialized tensor's nucleus gives, and the encoded
-    pairs are the tuple pairs encoded."""
+    pairs are the tuple pairs encoded.  The pairs at every x, not only the
+    join-irreducible ones, generate that same nucleus, both materialized
+    and lazily."""
     A = self_module(q)
     for t in (1, 2, 3):
         for k in range(3):
@@ -198,7 +241,28 @@ def test_lazy_nucleus_matches_materialized_tensor(q):
             pairs = tensor_pairs(A, J.r, H.F)
             assert ([(lat.encode(c), lat.encode(d)) for c, d in pairs]
                     == tensor_pairs_encoded(tm.power, J, H))
+            every = all_x_tensor_pairs(A, J.r, H.F)
+            host = FSemilattice(tm.power, tuple(range(lat.n)))
+            op, _ = prenucleus_from_pairs(
+                host, [(lat.encode(c), lat.encode(d)) for c, d in every])
+            assert closure_of(op).values == tm.nucleus.values, (t, k)
             lazy = TuplePairNucleus(A, t, pairs)
+            lazy_every = TuplePairNucleus(A, t, every)
             for a in range(lat.n):
-                assert (lazy.n(lat.decode(a))
-                        == lat.decode(tm.nucleus.values[a])), (t, k, a)
+                closed = lat.decode(tm.nucleus.values[a])
+                assert lazy.n(lat.decode(a)) == closed, (t, k, a)
+                assert lazy_every.n(lat.decode(a)) == closed, (t, k, a)
+
+
+def all_x_tensor_pairs(module, r, F):
+    """The tensor pairs at every carrier element, built from the
+    definition: smear(x, i) v delta(F x, i) against delta(F x, i)."""
+    arity = len(r)
+    lat = module.carrier
+    out = []
+    for x in range(module.n):
+        for i in range(arity):
+            dlt = tuple(F[x] if k == i else lat.bottom for k in range(arity))
+            smear = tuple(module.act(r[i][k], x) for k in range(arity))
+            out.append((tuple(map(lat.join2, smear, dlt)), dlt))
+    return out

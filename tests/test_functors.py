@@ -28,15 +28,19 @@ def test_delta_and_smear():
     A = diamond_module(q)
     frame = validate_frame(q, ["p", "q"], [[1, 0], [2, 1]])
     assert delta_tuple(2, 0, 2, 1) == (0, 2)
-    # pair (x, i) sits at x * |T| + i; with F = bottom every delta is
-    # bottom, so the first components are the bare smears of x = b
+    # pairs run over the join-irreducibles a, b, c of the diamond, and the
+    # pair (x, i) for the k-th of them sits at k * |T| + i; with F = bottom
+    # every delta is bottom, so the first components are the bare smears
+    # of x = b
+    assert A.carrier.join_irreducibles() == (1, 2, 3)
     pairs = tensor_pairs(A, frame.r, (0,) * A.n)
-    assert pairs[4] == ((2, 0), (0, 0))      # r(p,q)=0 kills q
-    assert pairs[5] == ((4, 2), (0, 0))      # r(q,p)=1 lifts b to 1
+    assert len(pairs) == 6
+    assert pairs[2] == ((2, 0), (0, 0))      # r(p,q)=0 kills q
+    assert pairs[3] == ((4, 2), (0, 0))      # r(q,p)=1 lifts b to 1
     # with F(b) = a the smear is joined with the delta of a
     pairs = tensor_pairs(A, frame.r, tense_operator(A).F)
-    assert pairs[4] == ((4, 0), (1, 0))
-    assert pairs[5] == ((4, 4), (0, 1))
+    assert pairs[2] == ((4, 0), (1, 0))
+    assert pairs[3] == ((4, 4), (0, 1))
 
 
 def test_tensor_identity_relation_keeps_power():
