@@ -29,9 +29,6 @@ class VFrame:
     def n(self) -> int:
         return len(self.points)
 
-    def rel(self, i: int, j: int) -> int:
-        return self.r[i][j]
-
     def __repr__(self):
         return f"VFrame({self.name}, points={self.n}, over={self.quantale.name})"
 

@@ -74,8 +74,24 @@ class TensorModule:
     power: VModule
     nucleus: EndoOperator
     quotient: VModule
+    # projection.values[y] is already the class of n(y) and n is idempotent,
+    # so any power element is projected directly, with no nucleus lookup
     projection: ModuleHom
     fixed: tuple[int, ...]
+
+    def factor(self, g, target: VModule, what: str) -> ModuleHom:
+        """The unique map h out of the quotient with h(projection(x)) = g[x]
+        for every power element x, where ``g`` is a value vector over the
+        power into ``target``; ``what`` names the map in errors."""
+        values = tuple(g[p] for p in self.fixed)
+        proj = self.projection.values
+        for x in range(self.power.n):
+            if values[proj[x]] != g[x]:
+                raise GDoesNotRespectX(
+                    f"{what} square breaks at power element {x}", witness=x)
+        if not is_module_hom(values, self.quotient, target):
+            raise FNotModuleHom(f"{what} is not a module hom", witness=values)
+        return ModuleHom(self.quotient, target, values)
 
 
 def tensor(frame: VFrame, fsl: FSemilattice, cap: int | None = None,
@@ -141,21 +157,11 @@ def forward_tuple(f: FrameHom, lat, tup: tuple) -> tuple:
 
 def tensor_frame_hom(t: FrameHom, fsl: FSemilattice,
                      source_t: TensorModule, target_t: TensorModule) -> ModuleHom:
-    """The unique module map on quotients with n2 o forward = result o n1;
-    the defining square is re-checked on every power element."""
+    """The unique module map on quotients with n2 o forward = result o n1."""
     fwd = forward_map(t, fsl.module, source_t.power, target_t.power)
-    n2 = target_t.nucleus.values
     proj2 = target_t.projection.values
-    values = tuple(proj2[n2[fwd.values[p]]] for p in source_t.fixed)
-    result = ModuleHom(source_t.quotient, target_t.quotient, values)
-    proj1 = source_t.projection.values
-    for x in range(source_t.power.n):
-        if result.values[proj1[x]] != proj2[fwd.values[x]]:
-            raise GDoesNotRespectX(
-                f"tensor action square breaks at power element {x}", witness=x)
-    if not is_module_hom(result, source_t.quotient, target_t.quotient):
-        raise FNotModuleHom("tensor action is not a module hom", witness=t.mapping)
-    return result
+    return source_t.factor([proj2[y] for y in fwd.values], target_t.quotient,
+                           "tensor action")
 
 
 def tensor_lax_hom(frame: VFrame, f: ModuleHom,
@@ -163,23 +169,10 @@ def tensor_lax_hom(frame: VFrame, f: ModuleHom,
     """Same construction along a lax operator morphism, lifted pointwise."""
     slat = source_t.power.carrier
     tlat = target_t.power.carrier
-    n2 = target_t.nucleus.values
     proj2 = target_t.projection.values
-
-    def lift(enc: int) -> int:
-        return tlat.encode(tuple(f.values[a] for a in slat.decode(enc)))
-
-    values = tuple(proj2[n2[lift(p)]] for p in source_t.fixed)
-    result = ModuleHom(source_t.quotient, target_t.quotient, values)
-    proj1 = source_t.projection.values
-    for x in range(source_t.power.n):
-        if result.values[proj1[x]] != proj2[n2[lift(x)]]:
-            raise GDoesNotRespectX(
-                f"tensor lax-action square breaks at power element {x}", witness=x)
-    if not is_module_hom(result, source_t.quotient, target_t.quotient):
-        raise FNotModuleHom("tensor lax action is not a module hom",
-                            witness=f.values)
-    return result
+    g = [proj2[tlat.encode(tuple(f.values[a] for a in slat.decode(x)))]
+         for x in range(slat.n)]
+    return source_t.factor(g, target_t.quotient, "tensor lax action")
 
 
 # hom frame -----------------------------------------------------------------
@@ -241,15 +234,8 @@ def hom_frame(fsl: FSemilattice, target: VModule,
 def hom_frame_covariant(source_hf: HomFrame, g: ModuleHom,
                         target_hf: HomFrame) -> FrameHom:
     """Post-compose every point with a module map; always lands on a point."""
-    mapping = []
-    for alpha in source_hf.homs:
-        composite = tuple(g.values[alpha.values[x]] for x in range(source_hf.fsl.n))
-        mapping.append(target_hf.index_of(composite))
-    result = FrameHom(source_hf.frame, target_hf.frame, tuple(mapping))
-    if not is_frame_hom(result, source_hf.frame, target_hf.frame):
-        raise FNotModuleHom("post-composition is not a frame morphism",
-                            witness=result.mapping)
-    return result
+    return _induced_frame_map(source_hf, target_hf, lambda alpha: tuple(
+        g.values[a] for a in alpha), "post-composition")
 
 
 def hom_frame_contravariant(f: ModuleHom, source_hf: HomFrame,
@@ -259,12 +245,17 @@ def hom_frame_contravariant(f: ModuleHom, source_hf: HomFrame,
     f runs between the operator modules of target_hf and source_hf, so the
     induced frame map runs from source_hf's frame to target_hf's.
     """
-    mapping = []
-    for alpha in source_hf.homs:
-        composite = tuple(alpha.values[f.values[y]] for y in range(target_hf.fsl.n))
-        mapping.append(target_hf.index_of(composite))
-    result = FrameHom(source_hf.frame, target_hf.frame, tuple(mapping))
+    return _induced_frame_map(source_hf, target_hf, lambda alpha: tuple(
+        alpha[y] for y in f.values), "pre-composition (map not lax?)")
+
+
+def _induced_frame_map(source_hf: HomFrame, target_hf: HomFrame, compose,
+                       what: str) -> FrameHom:
+    """Send each point to the point whose value table is ``compose`` of its
+    own, checked to be a frame morphism."""
+    mapping = tuple(target_hf.index_of(compose(alpha.values))
+                    for alpha in source_hf.homs)
+    result = FrameHom(source_hf.frame, target_hf.frame, mapping)
     if not is_frame_hom(result, source_hf.frame, target_hf.frame):
-        raise FNotModuleHom("pre-composition is not a frame morphism; "
-                            "map not lax?", witness=result.mapping)
+        raise FNotModuleHom(f"{what} is not a frame morphism", witness=mapping)
     return result

@@ -170,10 +170,6 @@ class FinLattice:
         return tuple(tuple(self.leq(a, b) for b in range(self.n))
                      for a in range(self.n))
 
-    def join_table(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(self.join2(a, b) for b in range(self.n))
-                     for a in range(self.n))
-
     def __eq__(self, other):
         if not isinstance(other, FinLattice):
             return NotImplemented

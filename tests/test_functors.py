@@ -2,7 +2,8 @@
 
 import pytest
 
-from tensalg.errors import BudgetExceeded
+from tensalg.errors import (BudgetExceeded, FNotModuleHom,
+                            GDoesNotRespectX)
 from tensalg.frames import FrameHom, validate_frame
 from tensalg.fsemilattice import validate_fsemilattice
 from tensalg.functors import (delta_tuple, forward_map, forward_tuple,
@@ -176,3 +177,32 @@ def test_hom_frame_budget():
     L = target_module(q)
     with pytest.raises(BudgetExceeded):
         hom_frame(H, L, budget=1)
+
+
+def test_factor_rejects_a_map_not_constant_on_classes():
+    """Over the frame [[1,1],[0,1]] with F = id, the pair at (1, p) is
+    ((1, 1), (1, 0)), so (1, 0) and the top collapse: four power elements,
+    three classes.  The identity of the power separates them, and the
+    square breaks at (1, 0), power element 2, the one non-fixed point."""
+    q, m, fsl = bool_chain_fsl((0, 1))
+    frame = validate_frame(q, ["p", "q"], [[1, 1], [0, 1]])
+    tm = tensor(frame, fsl)
+    assert (tm.power.n, tm.quotient.n) == (4, 3)
+    with pytest.raises(GDoesNotRespectX) as info:
+        tm.factor(range(tm.power.n), tm.power, "identity")
+    assert info.value.witness == 2
+    assert 2 not in tm.fixed
+
+
+def test_factor_rejects_a_class_map_that_moves_bottom():
+    """Constant on classes, so the square holds, but bottom goes to top."""
+    q, m, fsl = bool_chain_fsl((0, 1))
+    frame = validate_frame(q, ["p", "q"], [[1, 1], [0, 1]])
+    tm = tensor(frame, fsl)
+    top = tm.quotient.carrier.top
+    with pytest.raises(FNotModuleHom) as info:
+        tm.factor([top] * tm.power.n, tm.quotient, "constant top")
+    assert info.value.witness == (top,) * tm.quotient.n
+    # the projection itself factors as the identity of the quotient
+    ident = tm.factor(tm.projection.values, tm.quotient, "projection")
+    assert ident.values == tuple(range(tm.quotient.n))

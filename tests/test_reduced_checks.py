@@ -1,13 +1,15 @@
 """The join-irreducible checks against the all-pairs checks they replaced.
 
-``prenucleus_violation``, ``_hom_violation`` and ``validate_module`` test
-binary laws only for (a, x) with x join-irreducible.  The oracles below are
+``prenucleus_violation``, ``_hom_violation``, ``validate_module`` and the
+adjunctions' lax-table check test binary laws only for (a, x) with x
+join-irreducible.  The oracles below are
 the all-pairs predicates as they were before that reduction.  Both must
 accept and reject exactly the same inputs, report the same first broken
 law, and every reduced witness must be a real failing pair.
 """
 
 import os
+import random
 import subprocess
 import sys
 from itertools import product
@@ -17,12 +19,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tensalg.adjunctions import _lax_table_violation, eta_table, mu_table
 from tensalg.errors import (ActionNotAssociative, ActionNotJoinPreserving,
                             UnitActionFails)
-from tensalg.fsemilattice import FSemilattice
-from tensalg.generators import (chain_lattice, diamond_lattice, quantale_bool,
-                                quantale_luk, quantale_min, quantale_square_meet,
-                                self_module, square_lattice)
+from tensalg.fsemilattice import FSemilattice, fj_apply_tuple
+from tensalg.functors import hom_frame, tensor
+from tensalg.generators import (chain_lattice, diamond_lattice, draw_instance,
+                                quantale_bool, quantale_luk, quantale_min,
+                                quantale_square_meet, self_module,
+                                square_lattice)
 from tensalg.lattice import FinLattice, enumerate_join_preserving_maps, validate_lattice
 from tensalg.nucleus import EndoOperator, prenucleus_violation
 from tensalg.vmodule import (VModule, _hom_violation, enumerate_module_homs,
@@ -142,6 +147,32 @@ def oracle_module_violation(quantale, carrier, action):
     for a in range(na):
         if action[quantale.unit][a] != a:
             return ("unit", a)
+    return None
+
+
+def oracle_lax_table_violation(fsl, target, frame, table):
+    """The all-pairs lax-table check the adjunctions used before the
+    per-coordinate reduction."""
+    A = fsl.module
+    tlat = target.carrier
+    alat = A.carrier
+    for x in range(A.n):
+        for y in range(A.n):
+            xy = alat.join2(x, y)
+            if table[xy] != tuple(tlat.join2(a, b)
+                                  for a, b in zip(table[x], table[y])):
+                return ("join", x, y)
+    for v in range(A.quantale.n):
+        for x in range(A.n):
+            if table[A.act(v, x)] != tuple(target.act(v, c)
+                                           for c in table[x]):
+                return ("action", v, x)
+    for x in range(A.n):
+        lhs = fj_apply_tuple(target, frame, table[x])
+        rhs = table[fsl.F[x]]
+        for i in range(frame.n):
+            if not tlat.leq(lhs[i], rhs[i]):
+                return ("lax", x, i)
     return None
 
 
@@ -403,6 +434,74 @@ def test_validate_module_on_powers(lat):
     broken[lat.top] = lat.bottom
     assert_module_agrees(q, lat, [[lat.bottom] * lat.n, broken, top_row])
     assert module_tag(q, lat, [[lat.bottom] * lat.n, broken, top_row])[0] == "join"
+
+
+# lax tables ----------------------------------------------------------------
+
+def agreed_lax_rejection(fsl, target, frame, table):
+    """Whether both checks reject the table, asserting the same verdict, the
+    same kind of law (hom or lax), and a real witness with a
+    join-irreducible x."""
+    new = _lax_table_violation(fsl, target, frame, table)
+    old = oracle_lax_table_violation(fsl, target, frame, table)
+    assert (new is None) == (old is None), (new, old)
+    if new is None:
+        return False
+    assert (new[0] == "lax") == (old[0] == "lax"), (new, old)
+    src, dst = fsl.module.carrier, target.carrier
+    if new[0] == "join":
+        _, a, x, i = new
+        assert x in src.join_irreducibles()
+        assert table[src.join2(a, x)][i] != dst.join2(table[a][i], table[x][i])
+    elif new[0] == "lax":
+        _, x, i = new
+        assert x in src.join_irreducibles()
+        lhs = fj_apply_tuple(target, frame, table[x])
+        assert not dst.leq(lhs[i], table[fsl.F[x]][i])
+    return True
+
+
+def test_lax_tables_match_all_pairs_oracle():
+    """eta and mu tables of sixty suite instances, as built and with 29
+    single entries changed each: the per-coordinate check must judge every
+    table as the all-pairs check does."""
+    compared = rejected = 0
+    for idx in range(60):
+        inst = draw_instance(0, idx)
+        tm = tensor(inst.frame, inst.fsl)
+        hf = hom_frame(inst.fsl, inst.L)
+        for kind, fsl, target, frame, table in (
+                ("eta", tm.fsl, tm.quotient, tm.frame, eta_table(tm)),
+                ("mu", hf.fsl, hf.target, hf.frame, mu_table(hf))):
+            assert not agreed_lax_rejection(fsl, target, frame, table)
+            compared += 1
+            if target.n == 1:
+                continue
+            rng = random.Random(f"{idx}:{kind}")
+            for _ in range(29):
+                x = rng.randrange(len(table))
+                i = rng.randrange(frame.n)
+                row = list(table[x])
+                row[i] = rng.choice([v for v in range(target.n) if v != row[i]])
+                trial = table[:x] + (tuple(row),) + table[x + 1:]
+                rejected += agreed_lax_rejection(fsl, target, frame, trial)
+                compared += 1
+    assert rejected > 2000 and compared - rejected > 300
+
+
+def test_planted_lax_only_fault():
+    """mu of the bool module under F = id is lax there, and a hom in every
+    coordinate; against the constant-bottom operator only the lax clause
+    can fail, and it does, at a join-irreducible x."""
+    q = quantale_bool()
+    m = self_module(q)
+    hf = hom_frame(FSemilattice(m, (0, 1)), m)
+    table = mu_table(hf)
+    assert not agreed_lax_rejection(hf.fsl, m, hf.frame, table)
+    flat = FSemilattice(m, (m.carrier.bottom,) * m.n)
+    assert agreed_lax_rejection(flat, m, hf.frame, table)
+    bad = _lax_table_violation(flat, m, hf.frame, table)
+    assert bad[0] == "lax" and bad[1] in m.carrier.join_irreducibles()
 
 
 # typed errors survive python -O ---------------------------------------------
